@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from ..lexicons.negation import NEGATION_VERBS
 from ..obs import Obs
+from ..obs.audit import NO_MATCH, PATTERN_MATCH, AuditTrail, NullAuditTrail
 from ..nlp import penn
 from ..nlp.parse_cache import ParseMemo
 from ..nlp.parser import Clause, SentenceParse, ShallowParser
@@ -39,6 +40,35 @@ from .model import Polarity, Provenance, SentimentJudgment, Spot, Subject
 from .patterns import ComponentRef, SentimentPattern, SentimentPatternDB, default_pattern_db
 from .phrase import PhraseScorer
 from .spotting import SubjectSpotter
+
+
+def audit_judgment(
+    audit: AuditTrail | NullAuditTrail,
+    judgment: SentimentJudgment,
+    reason: str | None = None,
+) -> None:
+    """Record why *judgment* resolved the way it did.
+
+    *reason* defaults to ``pattern-match`` when a pattern assigned the
+    polarity and ``no-match`` otherwise; the miner passes
+    ``context-window`` for polarities inherited from a neighbour.
+    """
+    if not audit.enabled:
+        return
+    provenance = judgment.provenance
+    if reason is None:
+        reason = PATTERN_MATCH if provenance is not None and provenance.pattern else NO_MATCH
+    audit.record_sentiment(
+        judgment.subject_name,
+        judgment.polarity.value,
+        reason,
+        document_id=judgment.spot.document_id,
+        sentence_index=judgment.spot.sentence_index,
+        pattern=provenance.pattern if provenance else "",
+        predicate=provenance.predicate if provenance else "",
+        lexicon_entries=tuple(provenance.sentiment_words) if provenance else (),
+        negated=bool(provenance.negated) if provenance else False,
+    )
 
 
 @dataclass(frozen=True)
@@ -223,78 +253,17 @@ class SentimentAnalyzer:
         ) as span:
             sentences = self._splitter.split_text(text)
             spotter = self._spotter_for(subjects)
-            judgments = self._judge_sentences(sentences, spotter, document_id)
+            judgments: list[SentimentJudgment] = []
+            for sentence in sentences:
+                spots = spotter.spot_sentence(sentence, document_id)
+                if spots:
+                    judgments.extend(self.judge_spots(self.tag(sentence), spots))
             span.set_attribute("sentences", len(sentences))
             span.set_attribute("judgments", len(judgments))
-            if self._obs.audit.enabled:
-                for judgment in judgments:
-                    self._audit_judgment(judgment)
+            for judgment in judgments:
+                audit_judgment(self._obs.audit, judgment)
             self.publish_memo_metrics()
             return judgments
-
-    def analyze_batch(
-        self,
-        documents: list[tuple[str, str]],
-        subjects: list[Subject],
-    ) -> list[list[SentimentJudgment]]:
-        """Batched full pipeline over ``(document_id, text)`` pairs.
-
-        Each stage loops tight over the whole batch (split all, spot
-        all, judge all) instead of re-entering the full stack per
-        document.  Per document, the returned judgment list — and the
-        audit entries recorded for it — are byte-identical to a
-        :meth:`analyze_text` call for that document alone.
-        """
-        documents = list(documents)
-        with self._obs.tracer.span(
-            "analyze.batch", documents=len(documents), subjects=len(subjects)
-        ) as span:
-            spotter = self._spotter_for(subjects)
-            sentences_by_doc = [
-                self._splitter.split_text(text) for _, text in documents
-            ]
-            results = [
-                self._judge_sentences(sentences, spotter, document_id)
-                for (document_id, _), sentences in zip(documents, sentences_by_doc)
-            ]
-            span.set_attribute("judgments", sum(len(r) for r in results))
-            if self._obs.audit.enabled:
-                for judgments in results:
-                    for judgment in judgments:
-                        self._audit_judgment(judgment)
-            self.publish_memo_metrics()
-            return results
-
-    def _judge_sentences(
-        self,
-        sentences: list[Sentence],
-        spotter: SubjectSpotter,
-        document_id: str,
-    ) -> list[SentimentJudgment]:
-        """Spot, tag, and judge one document's sentences."""
-        judgments: list[SentimentJudgment] = []
-        for sentence in sentences:
-            spots = spotter.spot_sentence(sentence, document_id)
-            if not spots:
-                continue
-            tagged = self.tag(sentence)
-            judgments.extend(self.judge_spots(tagged, spots))
-        return judgments
-
-    def _audit_judgment(self, judgment: SentimentJudgment) -> None:
-        provenance = judgment.provenance
-        matched = provenance is not None and provenance.pattern
-        self._obs.audit.record_sentiment(
-            judgment.subject_name,
-            judgment.polarity.value,
-            "pattern-match" if matched else "no-match",
-            document_id=judgment.spot.document_id,
-            sentence_index=judgment.spot.sentence_index,
-            pattern=provenance.pattern if provenance else "",
-            predicate=provenance.predicate if provenance else "",
-            lexicon_entries=tuple(provenance.sentiment_words) if provenance else (),
-            negated=bool(provenance.negated) if provenance else False,
-        )
 
     # -- clause analysis ---------------------------------------------------------
 

@@ -11,21 +11,22 @@ index for query-time lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from ..obs import Obs
-from ..obs.audit import CONTEXT_WINDOW, NO_MATCH, PATTERN_MATCH, AuditEntry
+from ..obs.audit import CONTEXT_WINDOW, AuditEntry
 from ..nlp.sentences import SentenceSplitter
 from ..nlp.tokenizer import Tokenizer
-from .analyzer import SentimentAnalyzer
+from .analyzer import SentimentAnalyzer, audit_judgment
 from .context import ContextBuilder, ContextWindowRule
 from .disambiguation import Disambiguator
 from .model import Polarity, SentimentJudgment, Spot, Subject
 from .spotting import NamedEntitySpotter, SubjectSpotter
 
-#: Nominal simulated cost one pipeline stage charges per document —
-#: keeps standalone-miner span durations in the same currency the
-#: cluster uses (one entity ≈ 1.0 units across its stages).
+#: Nominal simulated cost one pipeline stage charges per mining call
+#: (one document for ``mine_document``) — keeps standalone-miner span
+#: durations in the same currency the cluster uses (one entity ≈ 1.0
+#: units across its stages).
 STAGE_COST = 0.25
 
 
@@ -112,43 +113,95 @@ class SentimentMiner:
     # -- mode A: predefined subject set -------------------------------------------
 
     def mine_document(self, text: str, document_id: str = "") -> MiningResult:
-        """Run the Fig. 2 pipeline on one document."""
-        if self._spotter is None:
+        """Run the Fig. 2 pipeline on one document (a batch of one)."""
+        return self._mine_stages(
+            [(document_id, text)], "mine.document", document_id=document_id, mode="A"
+        )
+
+    def mine_batch(self, documents: Iterable[tuple[str, str]]) -> MiningResult:
+        """Mode A over a document batch in one call.
+
+        Runs the same stage-major body as :meth:`mine_document`, so the
+        result equals :meth:`mine_corpus` on the same documents: same
+        judgments in the same order, same stats, same audit entries.  It
+        is no faster on the wall clock; the one difference is that the
+        simulated clock is charged once per stage for the whole batch
+        rather than once per stage per document.
+        """
+        documents = list(documents)
+        return self._mine_stages(
+            documents, "mine.batch", mode="A", documents=len(documents)
+        )
+
+    def mine_corpus(self, documents: Iterable[tuple[str, str]]) -> MiningResult:
+        """Mine ``(document_id, text)`` pairs, one :meth:`mine_document` call each."""
+        return self._mine_each(documents, self.mine_document, "A")
+
+    def _mine_stages(
+        self, batch: list[tuple[str, str]], span_name: str, **attributes
+    ) -> MiningResult:
+        """The one mode-A body: split all, spot all, disambiguate all, analyze all.
+
+        Each charged stage (spot, disambiguate when configured, analyze)
+        advances the sim clock by one ``STAGE_COST`` per call, whatever
+        the batch size; splitting is uncharged.  The global audit trail
+        records stage-major, but ``MiningResult.audit`` is reassembled in
+        document order: each document's keep/filter entries, then its
+        sentiment entries.
+        """
+        spotter = self._spotter
+        if spotter is None:
             raise ValueError("mode A requires a predefined subject list")
         obs = self._obs
         tracer = obs.tracer
-        audit_mark = obs.audit.mark()
-        result = MiningResult()
-        result.stats.documents = 1
-        with tracer.span("mine.document", document_id=document_id, mode="A") as doc_span:
-            sentences = self._splitter.split_text(text)
-            result.stats.sentences = len(sentences)
-            with tracer.span("stage.spot", sentences=len(sentences)) as span:
+        audit = obs.audit
+        total = MiningResult()
+        stats = total.stats
+        with tracer.span(span_name, **attributes) as root:
+            sentences_by_doc = [self._splitter.split_text(text) for _, text in batch]
+            stats.documents = len(batch)
+            stats.sentences = sum(map(len, sentences_by_doc))
+            with tracer.span("stage.spot", sentences=stats.sentences) as span:
                 obs.clock.advance(STAGE_COST)
-                spots = self._spotter.spot_document(sentences, document_id)
-                span.set_attribute("spots", len(spots))
-            result.stats.spots_found = len(spots)
+                spots_by_doc = [
+                    spotter.spot_document(sentences, document_id)
+                    for (document_id, _), sentences in zip(batch, sentences_by_doc)
+                ]
+                stats.spots_found = sum(map(len, spots_by_doc))
+                span.set_attribute("spots", stats.spots_found)
+            audit_by_doc: list[list[AuditEntry]] = [[] for _ in batch]
             if self._disambiguator is not None:
-                with tracer.span("stage.disambiguate", spots=len(spots)) as span:
+                with tracer.span("stage.disambiguate", spots=stats.spots_found) as span:
                     obs.clock.advance(STAGE_COST)
-                    spots = self._disambiguator.disambiguate(
-                        sentences, spots, audit=obs.audit
-                    ).on_topic
-                    span.set_attribute("on_topic", len(spots))
-            result.stats.spots_on_topic = len(spots)
+                    for position, sentences in enumerate(sentences_by_doc):
+                        mark = audit.mark()
+                        spots_by_doc[position] = self._disambiguator.disambiguate(
+                            sentences, spots_by_doc[position], audit=audit
+                        ).on_topic
+                        audit_by_doc[position] = audit.since(mark)
+                    span.set_attribute("on_topic", sum(map(len, spots_by_doc)))
+            stats.spots_on_topic = sum(map(len, spots_by_doc))
 
-            spots_by_sentence: dict[int, list[Spot]] = {}
-            for spot in spots:
-                spots_by_sentence.setdefault(spot.sentence_index, []).append(spot)
+            grouped: list[dict[int, list[Spot]]] = []
+            for spots in spots_by_doc:
+                spots_by_sentence: dict[int, list[Spot]] = {}
+                for spot in spots:
+                    spots_by_sentence.setdefault(spot.sentence_index, []).append(spot)
+                grouped.append(spots_by_sentence)
             with tracer.span(
-                "stage.analyze", sentences_with_spots=len(spots_by_sentence)
+                "stage.analyze", sentences_with_spots=sum(map(len, grouped))
             ):
                 obs.clock.advance(STAGE_COST)
-                self._analyze_spotted(sentences, spots_by_sentence, result)
-            doc_span.set_attribute("judgments", len(result.judgments))
-        self._publish(result)
-        result.audit = obs.audit.since(audit_mark)
-        return result
+                for sentences, spots_by_sentence, doc_audit in zip(
+                    sentences_by_doc, grouped, audit_by_doc
+                ):
+                    mark = audit.mark()
+                    self._analyze_spotted(sentences, spots_by_sentence, total)
+                    total.audit.extend(doc_audit)
+                    total.audit.extend(audit.since(mark))
+            root.set_attribute("judgments", len(total.judgments))
+        self._publish(total)
+        return total
 
     def _analyze_spotted(
         self,
@@ -224,92 +277,6 @@ class SentimentMiner:
                 )
         return widened, frozenset(inherited_positions)
 
-    def mine_corpus(
-        self, documents: Iterable[tuple[str, str]]
-    ) -> MiningResult:
-        """Mine ``(document_id, text)`` pairs; results are concatenated."""
-        total = MiningResult()
-        with self._obs.tracer.span("mine.corpus", mode="A") as span:
-            for document_id, text in documents:
-                result = self.mine_document(text, document_id)
-                total.judgments.extend(result.judgments)
-                total.stats.merge(result.stats)
-                total.audit.extend(result.audit)
-            span.set_attribute("documents", total.stats.documents)
-            span.set_attribute("judgments", len(total.judgments))
-        return total
-
-    def mine_batch(self, documents: Iterable[tuple[str, str]]) -> MiningResult:
-        """Mode A over a document batch, one tight loop per pipeline stage.
-
-        Where :meth:`mine_corpus` re-enters the full stack per document,
-        this splits the whole batch, then spots the whole batch, then
-        disambiguates, then analyzes — so each stage's tables and caches
-        stay hot across the slice.  The result is byte-identical to
-        :meth:`mine_corpus` on the same documents: same judgments in the
-        same order, same stats, and the same per-document audit-entry
-        sequence (``MiningResult.audit`` is assembled in document order
-        even though the global trail records stage-major).
-
-        Simulated cost is charged per *stage per batch* rather than per
-        stage per document — the batching win the throughput benchmark
-        measures in docs/sim-sec.
-        """
-        if self._spotter is None:
-            raise ValueError("mode A requires a predefined subject list")
-        documents = list(documents)
-        obs = self._obs
-        tracer = obs.tracer
-        total = MiningResult()
-        with tracer.span("mine.batch", mode="A", documents=len(documents)) as span:
-            with tracer.span("stage.split", documents=len(documents)):
-                obs.clock.advance(STAGE_COST)
-                sentences_by_doc = [
-                    self._splitter.split_text(text) for _, text in documents
-                ]
-            with tracer.span("stage.spot", documents=len(documents)):
-                obs.clock.advance(STAGE_COST)
-                spots_by_doc = [
-                    self._spotter.spot_document(sentences, document_id)
-                    for (document_id, _), sentences in zip(documents, sentences_by_doc)
-                ]
-            found_counts = [len(spots) for spots in spots_by_doc]
-            audit_by_doc: list[list[AuditEntry]] = [[] for _ in documents]
-            if self._disambiguator is not None:
-                with tracer.span("stage.disambiguate", documents=len(documents)):
-                    obs.clock.advance(STAGE_COST)
-                    for position, sentences in enumerate(sentences_by_doc):
-                        mark = obs.audit.mark()
-                        spots_by_doc[position] = self._disambiguator.disambiguate(
-                            sentences, spots_by_doc[position], audit=obs.audit
-                        ).on_topic
-                        audit_by_doc[position] = obs.audit.since(mark)
-            results: list[MiningResult] = []
-            with tracer.span("stage.analyze", documents=len(documents)):
-                obs.clock.advance(STAGE_COST)
-                for position, sentences in enumerate(sentences_by_doc):
-                    mark = obs.audit.mark()
-                    result = MiningResult()
-                    result.stats.documents = 1
-                    result.stats.sentences = len(sentences)
-                    spots = spots_by_doc[position]
-                    result.stats.spots_found = found_counts[position]
-                    result.stats.spots_on_topic = len(spots)
-                    spots_by_sentence: dict[int, list[Spot]] = {}
-                    for spot in spots:
-                        spots_by_sentence.setdefault(spot.sentence_index, []).append(spot)
-                    self._analyze_spotted(sentences, spots_by_sentence, result)
-                    audit_by_doc[position] = audit_by_doc[position] + obs.audit.since(mark)
-                    results.append(result)
-            for position, result in enumerate(results):
-                total.judgments.extend(result.judgments)
-                total.stats.merge(result.stats)
-                total.audit.extend(audit_by_doc[position])
-            span.set_attribute("documents", total.stats.documents)
-            span.set_attribute("judgments", len(total.judgments))
-        self._publish(total)
-        return total
-
     def contexts(self, text: str, document_id: str = "") -> Iterator:
         """Yield the sentiment contexts mode A would analyze (for tooling)."""
         if self._spotter is None:
@@ -352,18 +319,27 @@ class SentimentMiner:
 
     def mine_open_corpus(self, documents: Iterable[tuple[str, str]]) -> MiningResult:
         """Mode B over ``(document_id, text)`` pairs."""
+        return self._mine_each(documents, self.mine_open_document, "B")
+
+    # -- shared ------------------------------------------------------------------------
+
+    def _mine_each(
+        self,
+        documents: Iterable[tuple[str, str]],
+        mine_one: Callable[[str, str], MiningResult],
+        mode: str,
+    ) -> MiningResult:
+        """Concatenate ``mine_one(text, document_id)`` over *documents*."""
         total = MiningResult()
-        with self._obs.tracer.span("mine.corpus", mode="B") as span:
+        with self._obs.tracer.span("mine.corpus", mode=mode) as span:
             for document_id, text in documents:
-                result = self.mine_open_document(text, document_id)
+                result = mine_one(text, document_id)
                 total.judgments.extend(result.judgments)
                 total.stats.merge(result.stats)
                 total.audit.extend(result.audit)
             span.set_attribute("documents", total.stats.documents)
             span.set_attribute("judgments", len(total.judgments))
         return total
-
-    # -- shared ------------------------------------------------------------------------
 
     def _record(
         self,
@@ -379,26 +355,8 @@ class SentimentMiner:
                 result.stats.judgments_neutral += 1
             else:
                 result.stats.judgments_polar += 1
-            if not audit.enabled:
-                continue
-            provenance = judgment.provenance
-            if position in context_inherited:
-                reason = CONTEXT_WINDOW
-            elif provenance is not None and provenance.pattern:
-                reason = PATTERN_MATCH
-            else:
-                reason = NO_MATCH
-            audit.record_sentiment(
-                judgment.subject_name,
-                judgment.polarity.value,
-                reason,
-                document_id=judgment.spot.document_id,
-                sentence_index=judgment.spot.sentence_index,
-                pattern=provenance.pattern if provenance else "",
-                predicate=provenance.predicate if provenance else "",
-                lexicon_entries=tuple(provenance.sentiment_words) if provenance else (),
-                negated=bool(provenance.negated) if provenance else False,
-            )
+            reason = CONTEXT_WINDOW if position in context_inherited else None
+            audit_judgment(audit, judgment, reason)
 
     def _publish(self, result: MiningResult) -> None:
         """Mirror the run's :class:`MiningStats` into the metrics registry."""

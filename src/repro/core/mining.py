@@ -131,35 +131,8 @@ class MinerPipeline:
     # -- execution -------------------------------------------------------------------------
 
     def process_entity(self, entity: Entity, report: PipelineReport | None = None) -> Entity:
-        """Run every miner on one entity, in order."""
-        report = report if report is not None else PipelineReport()
-        produced: set[str] = set()
-        for miner in self._miners:
-            # A layer is satisfied if an upstream miner ran for it on this
-            # entity (even yielding zero annotations) or the stored entity
-            # already carries it.
-            missing = [
-                layer
-                for layer in miner.requires
-                if layer not in produced and not entity.has_layer(layer)
-            ]
-            if missing:
-                if self._strict:
-                    raise PipelineError(
-                        f"entity {entity.entity_id!r} missing layers {missing} "
-                        f"for {miner.name!r}"
-                    )
-                continue
-            try:
-                miner.process(entity)
-            except Exception as exc:  # noqa: BLE001 — isolate miner crashes
-                report.errors.append((miner.name, entity.entity_id, str(exc)))
-                if self._strict:
-                    raise
-                continue
-            produced.update(miner.provides)
-            report.miner_runs[miner.name] = report.miner_runs.get(miner.name, 0) + 1
-        report.entities_processed += 1
+        """Run every miner on one entity, in order (a batch of one)."""
+        self.process_batch([entity], report)
         return entity
 
     def process_batch(
@@ -167,13 +140,12 @@ class MinerPipeline:
     ) -> PipelineReport:
         """Run the pipeline over an entity slice, one miner at a time.
 
-        Where :meth:`process_entity` re-enters the whole miner chain per
-        entity, this loops *miner-major*: each stage sweeps the full
-        slice before the next stage starts, so per-miner tables (spotting
-        automata, parse memos, lexicon probe caches) stay hot across the
-        batch.  Per-entity semantics are identical — the same dependency
-        checks, the same error isolation, the same end state — which the
-        batch-equivalence tests pin down, including under chaos failover.
+        The loop is *miner-major*: each miner sweeps the full slice
+        before the next one starts.  Per entity, a layer a miner requires
+        is satisfied when an upstream miner ran for it on that entity
+        (even yielding zero annotations) or the stored entity already
+        carries it.  A miner crash is recorded in the report and, unless
+        the pipeline is strict, skips only that miner on that entity.
         """
         report = report if report is not None else PipelineReport()
         produced: list[set[str]] = [set() for _ in entities]

@@ -15,31 +15,12 @@ can be rebuilt from stored entities alone.
 
 from __future__ import annotations
 
-from ..core.analyzer import SentimentAnalyzer
+from ..core.analyzer import SentimentAnalyzer, audit_judgment
 from ..core.model import Polarity, SentimentJudgment, Spot, Subject
 from ..obs import Obs
-from ..obs.audit import NO_MATCH, PATTERN_MATCH
 from ..core.entity import Annotation, Entity
 from ..core.mining import EntityMiner
 from . import base
-
-
-def _audit_judgment(obs: Obs, judgment: SentimentJudgment) -> None:
-    """Record why a judgment resolved the way it did."""
-    if not obs.audit.enabled:
-        return
-    provenance = judgment.provenance
-    obs.audit.record_sentiment(
-        judgment.subject_name,
-        judgment.polarity.value,
-        PATTERN_MATCH if provenance is not None and provenance.pattern else NO_MATCH,
-        document_id=judgment.spot.document_id,
-        sentence_index=judgment.spot.sentence_index,
-        pattern=provenance.pattern if provenance else "",
-        predicate=provenance.predicate if provenance else "",
-        lexicon_entries=tuple(provenance.sentiment_words) if provenance else (),
-        negated=bool(provenance.negated) if provenance else False,
-    )
 
 
 def _annotate_judgment(entity: Entity, judgment: SentimentJudgment) -> None:
@@ -112,7 +93,7 @@ class SentimentEntityMiner(EntityMiner):
             for judgment in self._analyzer.judge_spots(tagged, sentence_spots):
                 if self._polar_only and not judgment.polarity.is_polar:
                     continue
-                _audit_judgment(self._obs, judgment)
+                audit_judgment(self._obs.audit, judgment)
                 _annotate_judgment(entity, judgment)
 
 
@@ -150,5 +131,5 @@ class OpenSentimentEntityMiner(EntityMiner):
                 continue
             for judgment in self._analyzer.judge_spots(tagged, sentence_spots):
                 if judgment.polarity.is_polar:
-                    _audit_judgment(self._obs, judgment)
+                    audit_judgment(self._obs.audit, judgment)
                     _annotate_judgment(entity, judgment)

@@ -1,21 +1,29 @@
-"""Batched stage loops must be invisible: same bytes out, fewer passes.
+"""Batched entry points must be invisible: same bytes out.
 
-Every batched entry point added for the hot path — the analyzer's
-``analyze_batch``, the miner's ``mine_batch``, and the platform
-pipeline's ``process_batch`` — is asserted byte-identical to its
-unbatched counterpart, document by document and annotation by
-annotation.  The chaos-marked test goes further: a replicated cluster
-running the *batched* pipeline under a seeded node death must leave
-exactly the same per-entity sentiment annotations as a fault-free,
-entity-at-a-time baseline.
+Two batch/single pairs survive, each a thin wrapper over one body:
+
+* the miner's ``mine_batch`` and ``mine_document`` both run the one
+  stage-major mode-A body, so any partition of a corpus into
+  ``mine_batch`` calls must equal one call and the naive reference
+  miner's ``mine_corpus`` in judgments, stats and audit records.  The
+  only visible difference is the sim-clock charge: one ``STAGE_COST``
+  per charged stage per call, pinned here exactly;
+* the platform pipeline's ``process_entity`` is ``process_batch`` on a
+  batch of one.  The chaos-marked test goes further: a replicated
+  cluster running batches under a seeded node death must leave exactly
+  the same per-entity sentiment annotations as a fault-free,
+  entity-at-a-time baseline.
 """
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Subject
-from repro.core.analyzer import SentimentAnalyzer
 from repro.core.disambiguation import Disambiguator, TopicTermSet
-from repro.core.miner import SentimentMiner
+from repro.core.miner import STAGE_COST, MiningResult, SentimentMiner
 from repro.corpora import DIGITAL_CAMERA, ReviewGenerator
 from repro.miners import (
     DisambiguatorMiner,
@@ -26,6 +34,7 @@ from repro.miners import (
 from repro.miners.base import SENTIMENT_LAYER
 from repro.obs import Obs
 from repro.platform import Cluster, DataStore, Entity, FaultPlan, MinerPipeline
+from tests.support.reference import reference_miner
 
 NODES = 4
 PARTITIONS = 8
@@ -43,31 +52,23 @@ def camera_subjects() -> list[Subject]:
     ]
 
 
-def camera_miner(obs: Obs | None = None) -> SentimentMiner:
+def camera_disambiguator() -> Disambiguator:
     terms = TopicTermSet.build(
         on_topic=list(DIGITAL_CAMERA.features) + ["camera", "photo", "picture"]
     )
+    return Disambiguator(terms)
+
+
+def camera_miner(obs: Obs | None = None) -> SentimentMiner:
     return SentimentMiner(
         subjects=camera_subjects(),
-        disambiguator=Disambiguator(terms),
+        disambiguator=camera_disambiguator(),
         obs=obs if obs is not None else Obs.default(),
     )
 
 
-class TestAnalyzeBatch:
-    def test_matches_per_document_analyze_text(self):
-        documents = camera_documents(8)
-        subjects = camera_subjects()
-        batched = SentimentAnalyzer().analyze_batch(documents, subjects)
-        single = SentimentAnalyzer()
-        unbatched = [
-            single.analyze_text(text, subjects, document_id)
-            for document_id, text in documents
-        ]
-        assert batched == unbatched
-
-    def test_empty_batch(self):
-        assert SentimentAnalyzer().analyze_batch([], camera_subjects()) == []
+def report(result: MiningResult) -> tuple:
+    return result.judgments, result.stats, [e.to_record() for e in result.audit]
 
 
 class TestMineBatch:
@@ -75,21 +76,18 @@ class TestMineBatch:
         documents = camera_documents()
         batched = camera_miner(Obs.enabled()).mine_batch(documents)
         unbatched = camera_miner(Obs.enabled()).mine_corpus(documents)
-
-        assert batched.judgments == unbatched.judgments
-        assert batched.stats == unbatched.stats
-        assert [e.to_record() for e in batched.audit] == [
-            e.to_record() for e in unbatched.audit
-        ]
+        assert report(batched) == report(unbatched)
 
     def test_batch_charges_one_stage_cost_per_stage(self):
-        # Batching's simulated win: stage cost is paid per *batch*, not
-        # per document, so the sim clock advances far less.
+        # Spot, disambiguate and analyze each charge once per call,
+        # whatever the batch size; mine_corpus pays per document.
+        for size in (0, 1, 3, 10):
+            documents = camera_documents(size)
+            assert sim_charge(plain_miner, "mine_batch", documents) == 2 * STAGE_COST
+            assert sim_charge(camera_miner, "mine_batch", documents) == 3 * STAGE_COST
         documents = camera_documents(10)
-        batched_obs, unbatched_obs = Obs.enabled(), Obs.enabled()
-        camera_miner(batched_obs).mine_batch(documents)
-        camera_miner(unbatched_obs).mine_corpus(documents)
-        assert batched_obs.clock.now < unbatched_obs.clock.now
+        charged = sim_charge(camera_miner, "mine_corpus", documents)
+        assert charged == 10 * 3 * STAGE_COST
 
     def test_empty_batch(self):
         result = camera_miner().mine_batch([])
@@ -97,15 +95,87 @@ class TestMineBatch:
         assert result.stats.documents == 0
 
 
-def sentiment_pipeline() -> MinerPipeline:
-    terms = TopicTermSet.build(
-        on_topic=list(DIGITAL_CAMERA.features) + ["camera", "photo", "picture"]
+def plain_miner(obs: Obs) -> SentimentMiner:
+    return SentimentMiner(subjects=camera_subjects(), obs=obs)
+
+
+def sim_charge(miner_for, method: str, *args) -> float:
+    """Sim time one ``method(*args)`` call on a fresh miner charges."""
+    obs = Obs.default()
+    getattr(miner_for(obs), method)(*args)
+    return obs.clock.now
+
+
+class TestSimCostRule:
+    """Per-document charges: one ``STAGE_COST`` per charged stage.
+
+    ``DeltaIndexer``, freshness, the SLOs and the recovery timelines are
+    calibrated against these figures.
+    """
+
+    def test_mine_document(self):
+        text = camera_documents(1)[0][1]
+        assert sim_charge(plain_miner, "mine_document", text, "d") == 0.5
+        assert sim_charge(camera_miner, "mine_document", text, "d") == 0.75
+
+    def test_mine_open_document(self):
+        text = camera_documents(1)[0][1]
+        charged = sim_charge(
+            lambda obs: SentimentMiner(obs=obs), "mine_open_document", text, "d"
+        )
+        assert charged == 0.25
+
+
+COMPOSITION_DOCS = 8
+
+
+@lru_cache(maxsize=None)
+def composition_corpus() -> tuple[tuple[str, str], ...]:
+    return tuple(camera_documents(COMPOSITION_DOCS, seed=7))
+
+
+@lru_cache(maxsize=None)
+def composition_expected() -> tuple:
+    documents = list(composition_corpus())
+    single = report(camera_miner(Obs.enabled()).mine_batch(documents))
+    reference = reference_miner(
+        camera_subjects(), obs=Obs.enabled(), disambiguator=camera_disambiguator()
+    ).mine_corpus(documents)
+    assert single == report(reference)
+    return single
+
+
+@lru_cache(maxsize=None)
+def warm_miner() -> SentimentMiner:
+    """One miner shared by every example, so its memos stay warm."""
+    return camera_miner(Obs.enabled())
+
+
+class TestBatchComposition:
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        cuts=st.lists(
+            st.integers(min_value=0, max_value=COMPOSITION_DOCS), max_size=6
+        )
     )
+    def test_any_partition_equals_one_batch_and_reference(self, cuts):
+        documents = list(composition_corpus())
+        bounds = [0, *sorted(cuts), len(documents)]
+        total = MiningResult()
+        for start, end in zip(bounds, bounds[1:]):
+            result = warm_miner().mine_batch(documents[start:end])
+            total.judgments.extend(result.judgments)
+            total.stats.merge(result.stats)
+            total.audit.extend(result.audit)
+        assert report(total) == composition_expected()
+
+
+def sentiment_pipeline() -> MinerPipeline:
     return MinerPipeline(
         [
             TokenizerMiner(),
             SpotterMiner(camera_subjects()),
-            DisambiguatorMiner(Disambiguator(terms)),
+            DisambiguatorMiner(camera_disambiguator()),
             SentimentEntityMiner(),
         ]
     )

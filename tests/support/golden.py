@@ -117,9 +117,8 @@ def mine_camera(batched: bool) -> MiningResult:
     return miner.mine_batch(documents) if batched else miner.mine_corpus(documents)
 
 
-def mine_music_open(batched: bool = False) -> MiningResult:
+def mine_music_open() -> MiningResult:
     """Mode B (open subjects) over the music corpus; always per-document."""
-    del batched  # mode B has no batch entry point; the argument keeps call sites uniform
     miner = SentimentMiner(obs=Obs.enabled())
     return miner.mine_open_corpus(music_documents())
 

@@ -1,21 +1,25 @@
 """Reference (naive) hot-path implementations for differential testing.
 
-The production pipeline runs an Aho–Corasick subject spotter, a bounded
-parse memo, and batched stage loops.  Each of those is an *optimization*
-of a simpler implementation whose semantics define correctness.  This
-module keeps the simple implementations alive so tests and benchmarks
-can assert, input by input, that the optimized path is byte-identical
-to the reference path:
+The production pipeline runs an Aho–Corasick subject spotter and bounded
+split/tag/parse memos.  Each of those is an *optimization* of a simpler
+implementation whose semantics define correctness.  This module keeps
+the simple implementations alive so tests and benchmarks can assert,
+input by input, that the optimized path is byte-identical to the
+reference path:
 
 * :class:`ReferenceSubjectSpotter` — the original n-gram window scanner
   (one dict probe per (position, length) pair), sharing the production
   ``compile_terms`` table so the collision policy (first subject wins)
   is part of the common contract;
-* :func:`reference_analyzer` — a :class:`SentimentAnalyzer` with parse
-  memoisation disabled, so every sentence is parsed from scratch;
+* :func:`reference_analyzer` — a :class:`SentimentAnalyzer` with its
+  split, tag and parse memos disabled, so every sentence is split,
+  tagged and parsed from scratch;
 * :func:`reference_miner` — a mode-A :class:`SentimentMiner` wired to
-  both of the above; drive it with ``mine_corpus`` (the unbatched,
-  re-enter-the-stack-per-document loop) for the full reference run.
+  both of the above; drive it with ``mine_corpus``, which mines one
+  document per ``mine_document`` call, for the full reference run.
+  Every mode-A entry point shares one stage-major body, so batching is
+  not part of what the reference checks; the batch-composition tests
+  in ``tests/integration/test_batch_equivalence.py`` cover it.
 """
 
 from __future__ import annotations
