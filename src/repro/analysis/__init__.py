@@ -35,7 +35,6 @@ from .code_rules import (
     SeededRngRule,
     ServingDisciplineRule,
     SpanContextRule,
-    TraceContextRule,
     VinciHandlerRule,
     WallClockRule,
     default_code_rules,
@@ -101,8 +100,9 @@ def build_linter(
     conventional file is searched for from the current directory upward.
     The directory holding the config doubles as the project root: the
     incremental cache lives there (``.lint-cache.json``) and its
-    ``tests``/``benchmarks`` directories become DEAD001's reference
-    roots.  ``use_cache=False`` disables reading and writing the cache.
+    ``tests``/``benchmarks``/``examples``/``perfbench`` directories
+    become DEAD001's reference roots.  ``use_cache=False`` disables
+    reading and writing the cache.
     """
     if config_path is None:
         found = find_suppression_config()
@@ -114,7 +114,7 @@ def build_linter(
     root = found.parent if found is not None else Path.cwd()
     reference_roots = tuple(
         str(root / name)
-        for name in ("tests", "benchmarks", "examples")
+        for name in ("tests", "benchmarks", "examples", "perfbench")
         if (root / name).is_dir()
     )
     if use_cache and cache_path is None:
@@ -170,7 +170,6 @@ __all__ = [
     "SpanContextRule",
     "Suppression",
     "SuppressionConfig",
-    "TraceContextRule",
     "TraceThreadingRule",
     "VinciHandlerRule",
     "WalOrderingRule",

@@ -128,11 +128,6 @@ class LintReport:
     def suppressed(self) -> list[Finding]:
         return [f for f in self.findings if f.suppressed]
 
-    @property
-    def max_severity(self) -> Severity | None:
-        live = self.unsuppressed()
-        return max((f.severity for f in live), default=None)
-
     def exit_code(self, min_severity: Severity = Severity.INFO) -> int:
         """0 clean, 1 warnings, 2 errors — over unsuppressed findings."""
         live = self.unsuppressed(min_severity)

@@ -162,11 +162,6 @@ class FunctionSummary:
     #: local name → string keys of the dict literal assigned to it.
     dict_assigns: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
-    def call_sites(self, terminal: str | None = None) -> Iterator[CallSite]:
-        for call in self.calls:
-            if terminal is None or call.terminal == terminal:
-                yield call
-
     def to_dict(self) -> dict:
         return {
             "qname": self.qname,
@@ -259,11 +254,6 @@ class ModuleSummary:
     attr_refs: frozenset[str] = frozenset()  # every attribute name used
     #: (base_name, attr) pairs — possible module-alias member accesses.
     base_attr_refs: tuple[tuple[str, str], ...] = ()
-
-    def functions_named(self, name: str) -> Iterator[FunctionSummary]:
-        for fn in self.functions.values():
-            if fn.name == name:
-                yield fn
 
     def to_dict(self) -> dict:
         return {

@@ -28,9 +28,10 @@ graph, summaries, CFGs — built once per lint run:
   (DESIGN.md §5j).
 * **DEAD001** dead public symbols: module-level functions, classes and
   assignments referenced nowhere in the project — src plus the
-  *reference roots* (tests/, benchmarks/), which count as users but are
-  not themselves analyzed.  Import-bindings are only reported when the
-  module re-exports them via ``__all__`` (the compat-shim case).
+  *reference roots* (tests/, benchmarks/, examples/, perfbench/), which
+  count as users but are not themselves analyzed.  Import-bindings are
+  only reported when the module re-exports them via ``__all__`` (the
+  compat-shim case).
 
 All rules yield findings sorted by (path, line, message) so report
 order is stable run to run.
@@ -750,14 +751,15 @@ class DeadSymbolRule(ProgramRule):
     """Module-level symbols nothing references anywhere (DEAD001).
 
     "Anywhere" means the analyzed program plus the *reference roots*
-    (tests/, benchmarks/) — files that are scanned for imports and
-    attribute accesses but not themselves analyzed, so a test-only API
-    is alive while a re-export no test or module touches is dead.  The
-    worked example: the ``platform/{entity,miners}.py`` compat shims
-    re-export names (``__all__`` + import binding) that nothing imports
-    through them anymore.  Import bindings are reported only when the
-    module advertises them via ``__all__``; underscore names, dunders,
-    ``main`` and package ``__init__``/``__main__`` files are exempt.
+    (tests/, benchmarks/, examples/, perfbench/) — files that are scanned
+    for imports and attribute accesses but not themselves analyzed, so a
+    test-only API is alive while a re-export no test or module touches is
+    dead.  The worked example is a compat shim such as
+    ``platform/entity.py``: it re-exports names (``__all__`` + import
+    binding), and each one nothing imports through it is dead.  Import
+    bindings are reported only when the module advertises them via
+    ``__all__``; underscore names, dunders, ``main`` and package
+    ``__init__``/``__main__`` files are exempt.
     """
 
     rule_id = "DEAD001"
@@ -765,7 +767,7 @@ class DeadSymbolRule(ProgramRule):
     severity = Severity.WARNING
     invariant = (
         "every public module-level symbol is referenced somewhere in the "
-        "project (src, tests, or benchmarks)"
+        "project (src, tests, benchmarks, examples, or perfbench)"
     )
 
     def __init__(self, reference_roots: tuple[str, ...] = ()):
@@ -807,8 +809,8 @@ class DeadSymbolRule(ProgramRule):
                 findings.append(
                     self.finding(
                         f"public {what} {name!r} is referenced nowhere in "
-                        "the project (src, tests, benchmarks); delete it or "
-                        "add the missing consumer",
+                        "the project (src, tests, benchmarks, examples, "
+                        "perfbench); delete it or add the missing consumer",
                         path=summary.path,
                         line=lineno,
                     )

@@ -25,6 +25,7 @@ from typing import Iterable
 
 from ..core.analyzer import SentimentAnalyzer
 from ..core.disambiguation import Disambiguator
+from ..core.mining import MinerPipeline
 from ..core.model import Polarity, Subject
 from ..miners import (
     DisambiguatorMiner,
@@ -38,7 +39,6 @@ from ..platform.cluster import Cluster
 from ..platform.datastore import DataStore
 from ..platform.entity import Entity
 from ..platform.indexer import InvertedIndex, SentimentIndex
-from ..platform.miners import MinerPipeline
 from ..platform.services import register_services
 from ..platform.vinci import VinciBus
 from ..eval.reporting import ascii_bar_chart, format_percent, format_table

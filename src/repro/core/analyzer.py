@@ -30,7 +30,7 @@ from ..obs import Obs
 from ..obs.audit import NO_MATCH, PATTERN_MATCH, AuditTrail, NullAuditTrail
 from ..nlp import penn
 from ..nlp.parse_cache import ParseMemo
-from ..nlp.parser import Clause, SentenceParse, ShallowParser
+from ..nlp.parser import Clause, ShallowParser
 from ..nlp.postagger import PosTagger
 from ..nlp.sentences import SentenceSplitter
 from ..nlp.tokenizer import Tokenizer
@@ -151,14 +151,6 @@ class SentimentAnalyzer:
         """POS-tag with the lexicon-extended tagger."""
         return self._tagger.tag(sentence)
 
-    def _parse(self, tagged: TaggedSentence) -> SentenceParse:
-        """Parse through the bounded memo, mirroring hit/miss metrics."""
-        parse, from_cache = self._parse_memo.parse_with_status(tagged)
-        self._obs.metrics.counter(
-            "analyzer.parse_memo_hits" if from_cache else "analyzer.parse_memo_misses"
-        ).inc()
-        return parse
-
     def publish_memo_metrics(self, splitter: SentenceSplitter | None = None) -> None:
         """Mirror the nlp-layer memo counters into the metrics registry.
 
@@ -201,7 +193,7 @@ class SentimentAnalyzer:
             # Questions ask about sentiment; they do not assert it.
             metrics.counter("analyzer.questions_skipped").inc()
             return []
-        parse = self._parse(tagged)
+        parse, _ = self._parse_memo.parse_with_status(tagged)
         assignments: list[ClauseAssignment] = []
         for clause in parse.clauses:
             metrics.counter("analyzer.clauses").inc()

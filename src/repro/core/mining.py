@@ -16,8 +16,7 @@ The framework is deliberately store-agnostic: it talks to any object
 satisfying the :class:`EntityStore` protocol, so it can live below
 :mod:`repro.platform` in the import DAG (``core/miners → platform``)
 while :class:`repro.platform.datastore.DataStore` remains the production
-implementation.  :mod:`repro.platform.miners` re-exports these names for
-backward compatibility.
+implementation; :mod:`repro.platform` re-exports the framework names.
 """
 
 from __future__ import annotations

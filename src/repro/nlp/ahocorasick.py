@@ -107,10 +107,6 @@ class TokenAutomaton:
     def __len__(self) -> int:
         return self._num_patterns
 
-    @property
-    def num_states(self) -> int:
-        return len(self._goto)
-
     # -- matching -----------------------------------------------------------
 
     def iter_matches(self, symbols: Iterable[str]) -> Iterator[tuple[int, int, Any]]:

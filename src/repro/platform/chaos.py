@@ -37,11 +37,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, TypeVar
 
+from ..core.mining import CorpusMiner, MinerPipeline
 from ..obs import Obs
 from .cluster import Cluster, ClusterRunReport
 from .datastore import DataStore
 from .faults import FaultPlan
-from .miners import CorpusMiner, MinerPipeline
 from .retry import RetryPolicy
 
 T = TypeVar("T")

@@ -36,11 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TypeVar
 
+from ..core.mining import CorpusMiner, MinerPipeline, PipelineReport
 from ..obs import Obs
 from ..obs.context import with_trace
 from .datastore import DataStore
 from .faults import FaultPlan
-from .miners import CorpusMiner, MinerPipeline, PipelineReport
 from .retry import RetryPolicy
 from .vinci import VinciBus, VinciError
 

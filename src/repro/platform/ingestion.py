@@ -84,10 +84,6 @@ class WebCrawler(Source):
             count += 1
             frontier.extend(link for link in page.links if link not in visited)
 
-    @property
-    def site_size(self) -> int:
-        return len(self._site)
-
 
 class NewsFeedIngestor(Source):
     """Traditional news feed: (headline, body, date) records."""
@@ -312,10 +308,6 @@ class IngestionManager:
     @property
     def sources(self) -> list[str]:
         return [s.name for s in self._sources]
-
-    @property
-    def delta_sources(self) -> list[str]:
-        return [s.name for s in self._delta_sources]
 
     def ingest(self) -> IngestionReport:
         """Drain every source into the store."""

@@ -116,10 +116,6 @@ class DeltaIndexer:
         self._obs = obs if obs is not None else Obs.default()
         self._next_segment_id = 0
 
-    @property
-    def segments_built(self) -> int:
-        return self._next_segment_id
-
     def index_batch(self, deltas: Iterable[DocumentDelta]) -> IndexSegment:
         """Mine and seal one batch (delivery order) into a segment."""
         deltas = list(deltas)

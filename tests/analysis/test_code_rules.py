@@ -10,7 +10,6 @@ from repro.analysis import (
     SeededRngRule,
     ServingDisciplineRule,
     SpanContextRule,
-    TraceContextRule,
     VinciHandlerRule,
     WallClockRule,
     default_code_rules,
@@ -616,128 +615,3 @@ class TestEnvelopeSchemaRule:
 
     def test_registered_in_default_rule_set(self):
         assert "PLAT003" in {rule.rule_id for rule in default_code_rules()}
-
-
-class TestTraceContextRule:
-    MODPATH = "repro/platform/example.py"
-
-    def run(self, source):
-        return run_rule(TraceContextRule(), source, modpath=self.MODPATH)
-
-    # -- bus payloads ------------------------------------------------------
-
-    def test_with_trace_wrapped_payload_is_clean(self):
-        findings = self.run(
-            """
-            from repro.obs import with_trace
-
-            def read(bus, tracer, op):
-                return bus.request(
-                    "node0", with_trace({"op": op}, tracer.current_context)
-                )
-            """
-        )
-        assert findings == []
-
-    def test_dict_literal_with_trace_key_is_clean(self):
-        findings = self.run(
-            """
-            def read(bus, ctx):
-                return bus.request("node0", {"op": "counts", "trace": ctx})
-            """
-        )
-        assert findings == []
-
-    def test_name_assigned_from_with_trace_is_clean(self):
-        findings = self.run(
-            """
-            from repro.obs import with_trace
-
-            def read(bus, tracer):
-                payload = with_trace({"op": "counts"}, tracer.current_context)
-                return bus.request("node0", payload)
-            """
-        )
-        assert findings == []
-
-    def test_parameter_passthrough_is_clean(self):
-        # A payload the function received is the caller's propagation
-        # problem, not this hop's.
-        findings = self.run(
-            """
-            def forward(bus, payload):
-                return bus.request("node0", payload)
-            """
-        )
-        assert findings == []
-
-    def test_bare_dict_payload_is_flagged(self):
-        findings = self.run(
-            """
-            def read(bus, subject):
-                return bus.request("node0", {"op": "counts", "subject": subject})
-            """
-        )
-        assert [f.rule for f in findings] == ["OBS003"]
-        assert "with_trace" in findings[0].message
-
-    def test_locally_built_untraced_dict_is_flagged(self):
-        findings = self.run(
-            """
-            def read(bus, subject):
-                payload = {"op": "counts", "subject": subject}
-                return bus.request("node0", payload)
-            """
-        )
-        assert [f.rule for f in findings] == ["OBS003"]
-
-    def test_out_of_scope_module_is_ignored(self):
-        rule = TraceContextRule()
-        assert rule.applies_to(self.MODPATH)
-        assert not rule.applies_to("repro/core/miner.py")
-        assert not rule.applies_to("repro/obs/tracer.py")
-
-    # -- envelope handlers opening spans -----------------------------------
-
-    def test_handler_joining_remote_context_is_clean(self):
-        findings = self.run(
-            """
-            from repro.obs import extract_context
-
-            def handle(self, payload, tracer):
-                ctx = extract_context(payload)
-                with tracer.span("node.read", parent=ctx):
-                    return {"ok": True}
-            """
-        )
-        assert findings == []
-
-    def test_handler_with_trace_id_param_is_clean(self):
-        findings = self.run(
-            """
-            def attempt(self, payload, trace_id):
-                with self.tracer.span("vinci.attempt"):
-                    return trace_id
-            """
-        )
-        assert findings == []
-
-    def test_handler_starting_disconnected_span_is_flagged(self):
-        findings = self.run(
-            """
-            def handle(self, payload, tracer):
-                with tracer.span("node.read"):
-                    return {"ok": True}
-            """
-        )
-        assert [f.rule for f in findings] == ["OBS003"]
-        assert "consult" in findings[0].message
-
-    def test_superseded_by_interprocedural_obs003i(self):
-        # The per-file heuristic left the default set when OBS003i
-        # (tests/analysis/test_program_rules.py) replaced it; the class
-        # stays importable for targeted use.
-        from repro.analysis import default_program_rules
-
-        assert "OBS003" not in {rule.rule_id for rule in default_code_rules()}
-        assert "OBS003i" in {rule.rule_id for rule in default_program_rules()}

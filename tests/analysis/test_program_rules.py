@@ -10,6 +10,7 @@ from repro.analysis import (
     RngFlowRule,
     TraceThreadingRule,
     WalOrderingRule,
+    build_linter,
     build_program,
     default_program_rules,
     summarize_module,
@@ -258,6 +259,122 @@ class TestTraceThreadingRule:
         )
         assert findings == []
 
+    # -- single-function fixtures ------------------------------------------
+    # Module-level functions with no resolved callers: a payload parameter
+    # keeps its trust, so these pin the verdicts one function body decides.
+
+    def run(self, source, modpath="repro/platform/example.py"):
+        return run_rule(TraceThreadingRule(), {modpath: source})
+
+    def test_with_trace_wrapped_payload_is_clean(self):
+        findings = self.run(
+            """
+            from repro.obs import with_trace
+
+            def read(bus, tracer, op):
+                return bus.request(
+                    "node0", with_trace({"op": op}, tracer.current_context)
+                )
+            """
+        )
+        assert findings == []
+
+    def test_dict_literal_with_trace_key_is_clean(self):
+        findings = self.run(
+            """
+            def read(bus, ctx):
+                return bus.request("node0", {"op": "counts", "trace": ctx})
+            """
+        )
+        assert findings == []
+
+    def test_local_from_with_trace_is_clean(self):
+        findings = self.run(
+            """
+            from repro.obs import with_trace
+
+            def read(bus, tracer):
+                payload = with_trace({"op": "counts"}, tracer.current_context)
+                return bus.request("node0", payload)
+            """
+        )
+        assert findings == []
+
+    def test_parameter_passthrough_is_clean(self):
+        findings = self.run(
+            """
+            def forward(bus, payload):
+                return bus.request("node0", payload)
+            """
+        )
+        assert findings == []
+
+    def test_bare_dict_payload_is_flagged(self):
+        findings = self.run(
+            """
+            def read(bus, subject):
+                return bus.request("node0", {"op": "counts", "subject": subject})
+            """
+        )
+        assert [f.rule for f in findings] == ["OBS003i"]
+        assert "with_trace" in findings[0].message
+
+    def test_local_untraced_dict_is_flagged(self):
+        findings = self.run(
+            """
+            def read(bus, subject):
+                payload = {"op": "counts", "subject": subject}
+                return bus.request("node0", payload)
+            """
+        )
+        assert [f.rule for f in findings] == ["OBS003i"]
+        assert "drops the trace context" in findings[0].message
+
+    def test_out_of_scope_module_is_ignored(self):
+        source = """
+            def read(bus, subject):
+                return bus.request("node0", {"op": "counts", "subject": subject})
+            """
+        rule = TraceThreadingRule()
+        assert rule.applies_to("repro/platform/example.py")
+        assert not rule.applies_to("repro/core/miner.py")
+        assert not rule.applies_to("repro/obs/tracer.py")
+        assert self.run(source, modpath="repro/core/miner.py") == []
+
+    def test_joining_remote_context_is_clean(self):
+        findings = self.run(
+            """
+            from repro.obs import extract_context
+
+            def handle(self, payload, tracer):
+                ctx = extract_context(payload)
+                with tracer.span("node.read", parent=ctx):
+                    return {"ok": True}
+            """
+        )
+        assert findings == []
+
+    def test_handler_with_trace_id_param_is_clean(self):
+        findings = self.run(
+            """
+            def attempt(self, payload, trace_id):
+                with self.tracer.span("vinci.attempt"):
+                    return trace_id
+            """
+        )
+        assert findings == []
+
+    def test_disconnected_handler_span_is_flagged(self):
+        findings = self.run(
+            """
+            def handle(self, payload, tracer):
+                with tracer.span("node.read"):
+                    return {"ok": True}
+            """
+        )
+        assert [f.rule for f in findings] == ["OBS003i"]
+        assert "never consults the incoming trace context" in findings[0].message
+
 
 class TestRngFlowRule:
     SHUFFLER = """
@@ -428,6 +545,18 @@ class TestDeadSymbolRule:
         without_roots = run_rule(DeadSymbolRule(), modules)
         assert with_roots == []
         assert [f.rule for f in without_roots] == ["DEAD001"]
+
+    def test_build_linter_passes_perfbench_as_a_reference_root(self, tmp_path):
+        config = tmp_path / "lint-suppressions.json"
+        config.write_text('{"suppressions": []}', encoding="utf-8")
+        for name in ("tests", "perfbench"):
+            (tmp_path / name).mkdir()
+        linter = build_linter(config, use_cache=False)
+        [dead] = [r for r in linter.program_rules if isinstance(r, DeadSymbolRule)]
+        assert dead.reference_roots == (
+            str(tmp_path / "tests"),
+            str(tmp_path / "perfbench"),
+        )
 
 
 class TestWalOrderingRule:

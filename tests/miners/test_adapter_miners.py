@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import Subject
 from repro.core.disambiguation import Disambiguator, TopicTermSet
+from repro.core.mining import MinerPipeline, run_corpus_miner
 from repro.miners import (
     DisambiguatorMiner,
     FeatureTermMiner,
@@ -18,7 +19,6 @@ from repro.miners import (
 )
 from repro.platform.datastore import DataStore
 from repro.platform.entity import Entity
-from repro.platform.miners import MinerPipeline, run_corpus_miner
 
 TEXT = "The camera takes excellent pictures. The battery life is disappointing."
 

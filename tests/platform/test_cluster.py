@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.core.mining import CorpusMiner, EntityMiner, MinerPipeline
 from repro.platform.cluster import Cluster
 from repro.platform.datastore import DataStore
 from repro.platform.entity import Annotation, Entity
-from repro.platform.miners import CorpusMiner, EntityMiner, MinerPipeline
 
 
 class Marker(EntityMiner):

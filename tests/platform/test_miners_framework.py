@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.platform.datastore import DataStore
-from repro.platform.entity import Annotation, Entity
-from repro.platform.miners import (
+from repro.core.mining import (
     CorpusMiner,
     EntityMiner,
     MinerPipeline,
     PipelineError,
+    PipelineReport,
     run_corpus_miner,
 )
+from repro.platform.datastore import DataStore
+from repro.platform.entity import Annotation, Entity
 
 
 class UppercaseCounter(EntityMiner):
@@ -106,8 +107,6 @@ class TestPipelineExecution:
         assert report.entities_processed == 1
 
     def test_report_merge(self):
-        from repro.platform.miners import PipelineReport
-
         a = PipelineReport(entities_processed=2, miner_runs={"m": 2})
         b = PipelineReport(entities_processed=3, miner_runs={"m": 1, "n": 3})
         a.merge(b)
@@ -125,23 +124,17 @@ class TestCorpusMiner:
         assert run_corpus_miner(WordCounter(), DataStore(num_partitions=2)) == 0
 
 
-class TestShimSurface:
-    """The platform shim re-exports only what is imported through it."""
-
-    def test_store_protocols_come_from_core_not_the_shim(self):
-        # Trimmed via lint DEAD001: nothing imported the store protocols
-        # through the platform shim, so the re-export was dropped.
-        import repro.platform.miners as shim
-        from repro.core.mining import EntityPartition, EntityStore
-
-        assert "EntityStore" not in shim.__all__
-        assert "EntityPartition" not in shim.__all__
-        assert not hasattr(shim, "EntityStore")
-        assert EntityStore is not None and EntityPartition is not None
-
-    def test_remaining_reexports_match_core(self):
+class TestPlatformExports:
+    def test_platform_reexports_the_core_framework(self):
         import repro.core.mining as core
-        import repro.platform.miners as shim
+        import repro.platform as platform
 
-        for name in shim.__all__:
-            assert getattr(shim, name) is getattr(core, name)
+        for name in (
+            "CorpusMiner",
+            "EntityMiner",
+            "MinerPipeline",
+            "PipelineError",
+            "PipelineReport",
+            "run_corpus_miner",
+        ):
+            assert getattr(platform, name) is getattr(core, name)
