@@ -2,7 +2,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test chaos serving-chaos incremental recovery-chaos bench bench-obs bench-serving bench-freshness bench-throughput bench-lint bench-recovery perfbench-test lint lint-report
+.PHONY: test chaos serving-chaos incremental recovery-chaos bench bench-obs bench-serving bench-freshness bench-throughput bench-lint bench-recovery perfbench-test perfbench-smoke lint lint-report
 
 test: lint
 	python -m pytest -x -q
@@ -77,6 +77,13 @@ bench-recovery:
 # here rather than at benchmark time.
 perfbench-test:
 	python -m pytest perfbench/tests -q
+
+# The wall-clock benchmark's oracle checks, end to end: every workload
+# for one second, untraced.  perfbench/run.py exits 0 even when a check
+# fails, so this reads each result line and fails unless it says
+# "correct": true and "failed": 0.  About 40 s on 2 vCPUs.
+perfbench-smoke:
+	python benchmarks/perfbench_smoke.py
 
 # Byte-compile everything, then run the static-analysis rule set
 # (determinism, layering, obs discipline, pattern-DB/lexicon invariants).

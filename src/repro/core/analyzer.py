@@ -29,6 +29,7 @@ from ..lexicons.negation import NEGATION_VERBS
 from ..obs import Obs
 from ..obs.audit import NO_MATCH, PATTERN_MATCH, AuditTrail, NullAuditTrail
 from ..nlp import penn
+from ..nlp.lemmatizer import Lemmatizer, lemmatize
 from ..nlp.parse_cache import ParseMemo
 from ..nlp.parser import Clause, ShallowParser
 from ..nlp.postagger import PosTagger
@@ -113,8 +114,6 @@ class SentimentAnalyzer:
         for predicate in predicates:
             tagger_lexicon[predicate] = "VB"
         self._tagger = PosTagger(extra_lexicon=tagger_lexicon, memo_size=tag_memo_size)
-        from ..nlp.lemmatizer import Lemmatizer
-
         self._parser = ShallowParser(lemmatizer=Lemmatizer(extra_verb_bases=predicates))
         # Hot-path tables, precompiled once per analyzer (DESIGN.md §5g):
         # the predicate lemma set (bears_sentiment probes it per token),
@@ -270,8 +269,6 @@ class SentimentAnalyzer:
         return None
 
     def _candidate_predicates(self, clause: Clause) -> list[tuple[str, int]]:
-        from ..nlp.lemmatizer import lemmatize
-
         verbs = [t for t in clause.predicate.tokens if t.tag in penn.VERB_TAGS]
         candidates: list[tuple[str, int]] = [(clause.predicate_lemma, len(verbs) - 1)]
         for index in range(len(verbs) - 2, -1, -1):
@@ -389,8 +386,6 @@ class SentimentAnalyzer:
         verbs = [t for t in clause.predicate.tokens if t.tag in penn.VERB_TAGS]
         if verb_index <= 0:
             return False
-        from ..nlp.lemmatizer import lemmatize
-
         return any(
             lemmatize(v.text, v.tag) in NEGATION_VERBS for v in verbs[:verb_index]
         )

@@ -119,6 +119,18 @@ _S_FINAL_SINGULARS = frozenset(
     "thus its his hers ours yours theirs".split()
 )
 
+#: Irregular comparative/superlative -> positive form.
+_IRREGULAR_GRADED = {
+    "better": "good",
+    "best": "good",
+    "worse": "bad",
+    "worst": "bad",
+    "more": "much",
+    "most": "much",
+    "less": "little",
+    "least": "little",
+}
+
 
 class Lemmatizer:
     """Map inflected word forms to lemmas, guided by POS tags.
@@ -132,6 +144,10 @@ class Lemmatizer:
 
     def __init__(self, extra_verb_bases: set[str] | frozenset[str] | None = None):
         self._extra_bases = frozenset(extra_verb_bases or ())
+        # Every base _repair_stem may land on, built once per lemmatizer.
+        self._repair_bases = (
+            lexicon_pos.REGULAR_VERB_BASES | frozenset(lexicon_pos.VERB_FORMS) | self._extra_bases
+        )
 
     def lemmatize(self, word: str, tag: str) -> str:
         """Return the lemma of *word* under Penn tag *tag* (lowercased)."""
@@ -164,7 +180,7 @@ class Lemmatizer:
         return lower
 
     def _repair_stem(self, stem: str, suffix: str) -> str | None:
-        bases = lexicon_pos.REGULAR_VERB_BASES | set(lexicon_pos.VERB_FORMS) | self._extra_bases
+        bases = self._repair_bases
         candidates = [stem]
         if len(stem) >= 2 and stem[-1] == stem[-2] and stem[-1] not in "aeiouls":
             candidates.append(stem[:-1])  # stopped -> stop
@@ -205,9 +221,8 @@ class Lemmatizer:
     # -- gradable adjectives / adverbs ---------------------------------------
 
     def _graded_lemma(self, lower: str) -> str:
-        irregular = {"better": "good", "best": "good", "worse": "bad", "worst": "bad", "more": "much", "most": "much", "less": "little", "least": "little"}
-        if lower in irregular:
-            return irregular[lower]
+        if lower in _IRREGULAR_GRADED:
+            return _IRREGULAR_GRADED[lower]
         for suffix in ("est", "er"):
             if lower.endswith(suffix) and len(lower) > len(suffix) + 2:
                 stem = lower[: -len(suffix)]

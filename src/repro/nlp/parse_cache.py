@@ -39,7 +39,7 @@ Signature = tuple[tuple[str, str, int], ...]
 def sentence_signature(tagged: TaggedSentence) -> Signature:
     """Offset-normalised identity of a tagged sentence."""
     base = tagged.tokens[0].start
-    return tuple((t.text, t.tag, t.start - base) for t in tagged.tokens)
+    return tuple([(t.text, t.tag, t.start - base) for t in tagged.tokens])
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class _ChunkSkeleton:
 
     def materialize(self, tagged: TaggedSentence) -> Chunk:
         tokens = tagged.tokens
-        return Chunk(self.label, tuple(tokens[i] for i in self.indices))
+        return Chunk(self.label, tuple([tokens[i] for i in self.indices]))
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class _ClauseSkeleton:
 def _chunk_skeleton(chunk: Chunk, index_by_start: dict[int, int]) -> _ChunkSkeleton:
     return _ChunkSkeleton(
         label=chunk.label,
-        indices=tuple(index_by_start[t.start] for t in chunk.tokens),
+        indices=tuple([index_by_start[t.start] for t in chunk.tokens]),
     )
 
 

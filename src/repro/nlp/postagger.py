@@ -84,6 +84,11 @@ _NOUN_SUFFIXES = (
 
 _AUXILIARIES = frozenset({"have", "has", "had", "having", "be", "been", "being", "is", "are", "was", "were", "am", "'ve", "'s"})
 
+# Tag classes the contextual rules test against.
+_FINITE_OR_MODAL = penn.FINITE_VERB_TAGS | {"MD"}
+_NOMINAL_TAGS = penn.NOUN_TAGS | penn.ADJECTIVE_TAGS
+_NOUN_OR_PRONOUN = penn.NOUN_TAGS | {"PRP"}
+
 
 class PosTagger:
     """Deterministic POS tagger over the Penn Treebank tagset.
@@ -151,8 +156,7 @@ class PosTagger:
     def tag(self, sentence: Sentence) -> TaggedSentence:
         """Tag one sentence."""
         tags = self._sentence_tags(sentence.tokens)
-        tagged = [TaggedToken(tok, tag) for tok, tag in zip(sentence.tokens, tags)]
-        return TaggedSentence(tagged, index=sentence.index)
+        return TaggedSentence(list(map(TaggedToken, sentence.tokens, tags)), index=sentence.index)
 
     def _sentence_tags(self, tokens: list[Token]) -> tuple[str, ...]:
         """The sentence's tag sequence, served from the bounded memo.
@@ -166,7 +170,7 @@ class PosTagger:
         """
         if self._memo_size <= 0:
             return self._compute_tags(tokens)
-        key = tuple(t.text for t in tokens)
+        key = tuple([t.text for t in tokens])
         tags = self._tag_memo.get(key)
         if tags is not None:
             self.memo_hits += 1
@@ -202,7 +206,7 @@ class PosTagger:
 
         if text in _PUNCT_TAGS:
             return _PUNCT_TAGS[text]
-        if not any(ch.isalnum() for ch in text):
+        if not (text[:1].isalnum() or any(ch.isalnum() for ch in text)):
             return "SYM"
         if text[0].isdigit():
             return "CD"
@@ -214,7 +218,7 @@ class PosTagger:
             tag = self._open[lower]
             # Mid-sentence capitalisation promotes nouns to proper nouns;
             # this is what the named-entity spotter keys on.
-            if position > 0 and token.is_capitalized and tag in penn.COMMON_NOUN_TAGS:
+            if position > 0 and text[0].isupper() and tag in penn.COMMON_NOUN_TAGS:
                 return "NNP" if tag == "NN" else "NNPS"
             return tag
 
@@ -222,13 +226,15 @@ class PosTagger:
         if inflected is not None:
             return inflected
 
-        if token.is_capitalized and position > 0:
+        if position > 0 and text[0].isupper():
             return "NNPS" if lower.endswith("s") and not lower.endswith("ss") else "NNP"
 
         return self._suffix_tag(token, position)
 
     def _verb_inflection(self, lower: str) -> str | None:
         """Resolve regular inflections of known verb bases."""
+        if not lower.endswith(("g", "d", "s")):  # last letters of the four suffixes
+            return None
         bases = self._verb_bases
         for suffix, tag in (("ing", "VBG"), ("ed", "VBD"), ("es", "VBZ"), ("s", "VBZ")):
             if not lower.endswith(suffix) or len(lower) <= len(suffix) + 1:
@@ -321,7 +327,7 @@ class PosTagger:
                 and prev_tag in penn.COMMON_NOUN_TAGS
                 and i + 1 < n
                 and (
-                    tags[i + 1] in penn.FINITE_VERB_TAGS | {"MD"}
+                    tags[i + 1] in _FINITE_OR_MODAL
                     or (
                         tokens[i + 1].lower.endswith("ed")
                         and self._verb_inflection(tokens[i + 1].lower) is not None
@@ -357,7 +363,7 @@ class PosTagger:
                 tags[i] = "VBN"
 
             # "her" before a nominal is possessive.
-            if lower == "her" and next_tag in penn.NOUN_TAGS | penn.ADJECTIVE_TAGS:
+            if lower == "her" and next_tag in _NOMINAL_TAGS:
                 tags[i] = "PRP$"
 
             # A lexicon adjective that is also an "-ed" verb inflection is
@@ -369,7 +375,7 @@ class PosTagger:
                 and lower.endswith("ed")
                 and self._verb_inflection(lower) is not None
             ):
-                if prev_tag in penn.NOUN_TAGS | {"PRP"}:
+                if prev_tag in _NOUN_OR_PRONOUN:
                     tags[i] = "VBD"
                 elif (
                     prev_tag == "JJ"
@@ -386,7 +392,7 @@ class PosTagger:
             if (
                 tags[i] == "JJ"
                 and prev_tag in {"DT", "PRP$"}
-                and next_tag in penn.FINITE_VERB_TAGS | {"MD"}
+                and next_tag in _FINITE_OR_MODAL
             ):
                 tags[i] = "NN"
 

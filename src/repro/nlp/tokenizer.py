@@ -102,10 +102,6 @@ class Tokenizer:
             tokens.extend(self._split_raw(raw, start))
         return tokens
 
-    def is_abbreviation(self, word: str) -> bool:
-        """True when *word* (any case) is a known period-final abbreviation."""
-        return word.lower() in self._abbreviations
-
     # -- internals ----------------------------------------------------------
 
     def _split_raw(self, raw: str, start: int) -> list[Token]:
@@ -134,6 +130,8 @@ class Tokenizer:
     @staticmethod
     def _split_clitics(raw: str, start: int) -> list[Token]:
         """Split trailing contraction clitics off *raw*."""
+        if "'" not in raw:  # every clitic contains an apostrophe
+            return [Token(raw, start, start + len(raw))]
         lower = raw.lower()
         for clitic in _CLITICS:
             if lower.endswith(clitic) and len(raw) > len(clitic):

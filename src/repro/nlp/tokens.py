@@ -4,24 +4,43 @@ Every stage of the pipeline (tokenizer, tagger, chunker, parser, and the
 WebFountain-style miners) exchanges these types.  Character offsets always
 refer to the *original* document text, which lets miners annotate entities
 without ever mutating the raw text — the WebFountain contract.
+
+:class:`Span`, :class:`Token`, :class:`TaggedToken` and :class:`Chunk` are
+built and read by the hundred thousand per corpus, so they are frozen,
+slotted dataclasses that store each derived value once, in a field that
+takes no part in equality, hashing or ``repr``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 
-@dataclass(frozen=True, order=True)
+def _slot_setters(cls: type) -> tuple[Callable[[Any, Any], None], ...]:
+    """The ``__set__`` of each slot of frozen dataclass *cls*, in field order.
+
+    Each class below writes its slots through these in its own
+    ``__init__``, skipping the frozen ``__setattr__`` that a generated
+    ``__init__`` calls once per field.  Construction sits on the memo-hit
+    paths (a tag-memo hit builds one tagged token per token), so it must
+    stay cheap.
+    """
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class Span:
     """A half-open character interval ``[start, end)`` in a document."""
 
     start: int
     end: int
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
-            raise ValueError(f"invalid span [{self.start}, {self.end})")
+    def __init__(self, start: int, end: int) -> None:
+        if start < 0 or end < start:
+            raise ValueError(f"invalid span [{start}, {end})")
+        _set_span_start(self, start)
+        _set_span_end(self, end)
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -39,27 +58,29 @@ class Span:
         return document[self.start : self.end]
 
 
-@dataclass(frozen=True)
+_set_span_start, _set_span_end = _slot_setters(Span)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Token:
     """A single token with its surface form and source offsets."""
 
     text: str
     start: int
     end: int
+    lower: str = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.end - self.start != len(self.text):
-            raise ValueError(
-                f"token text {self.text!r} does not fit span [{self.start}, {self.end})"
-            )
+    def __init__(self, text: str, start: int, end: int) -> None:
+        if end - start != len(text):
+            raise ValueError(f"token text {text!r} does not fit span [{start}, {end})")
+        _set_token_text(self, text)
+        _set_token_start(self, start)
+        _set_token_end(self, end)
+        _set_token_lower(self, text.lower())
 
     @property
     def span(self) -> Span:
         return Span(self.start, self.end)
-
-    @property
-    def lower(self) -> str:
-        return self.text.lower()
 
     @property
     def is_capitalized(self) -> bool:
@@ -71,32 +92,35 @@ class Token:
         return self.text.isalpha()
 
 
-@dataclass(frozen=True)
+_set_token_text, _set_token_start, _set_token_end, _set_token_lower = _slot_setters(Token)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class TaggedToken:
-    """A token paired with its Penn Treebank part-of-speech tag."""
+    """A token paired with its Penn Treebank part-of-speech tag.
+
+    ``text``, ``lower``, ``start`` and ``end`` are copied from the token,
+    so a read takes one attribute hop.
+    """
 
     token: Token
     tag: str
+    text: str = field(init=False, repr=False, compare=False)
+    lower: str = field(init=False, repr=False, compare=False)
+    start: int = field(init=False, repr=False, compare=False)
+    end: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def text(self) -> str:
-        return self.token.text
-
-    @property
-    def lower(self) -> str:
-        return self.token.lower
-
-    @property
-    def start(self) -> int:
-        return self.token.start
-
-    @property
-    def end(self) -> int:
-        return self.token.end
+    def __init__(self, token: Token, tag: str) -> None:
+        _set_tagged_token(self, token)
+        _set_tagged_tag(self, tag)
+        _set_tagged_text(self, token.text)
+        _set_tagged_lower(self, token.lower)
+        _set_tagged_start(self, token.start)
+        _set_tagged_end(self, token.end)
 
     @property
     def span(self) -> Span:
-        return self.token.span
+        return Span(self.start, self.end)
 
     @property
     def is_capitalized(self) -> bool:
@@ -105,6 +129,11 @@ class TaggedToken:
     @property
     def is_alpha(self) -> bool:
         return self.token.is_alpha
+
+
+_set_tagged_token, _set_tagged_tag, _set_tagged_text, _set_tagged_lower, _set_tagged_start, _set_tagged_end = (
+    _slot_setters(TaggedToken)
+)
 
 
 @dataclass
@@ -178,7 +207,7 @@ class TaggedSentence:
         return iter(self.tokens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Chunk:
     """A contiguous phrase chunk (e.g. a base noun phrase or verb group).
 
@@ -188,14 +217,14 @@ class Chunk:
 
     label: str
     tokens: tuple[TaggedToken, ...]
+    span: Span = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.tokens:
+    def __init__(self, label: str, tokens: tuple[TaggedToken, ...]) -> None:
+        if not tokens:
             raise ValueError("a chunk must cover at least one token")
-
-    @property
-    def span(self) -> Span:
-        return Span(self.tokens[0].start, self.tokens[-1].end)
+        _set_chunk_label(self, label)
+        _set_chunk_tokens(self, tokens)
+        _set_chunk_span(self, Span(tokens[0].start, tokens[-1].end))
 
     @property
     def text(self) -> str:
@@ -220,6 +249,9 @@ class Chunk:
 
     def __iter__(self) -> Iterator[TaggedToken]:
         return iter(self.tokens)
+
+
+_set_chunk_label, _set_chunk_tokens, _set_chunk_span = _slot_setters(Chunk)
 
 
 def tokens_text(tokens: Sequence[Token | TaggedToken]) -> str:

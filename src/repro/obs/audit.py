@@ -33,7 +33,7 @@ CONTEXT_WINDOW = "context-window"
 NO_MATCH = "no-match"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditEntry:
     """One recorded decision."""
 
@@ -119,7 +119,7 @@ class AuditTrail:
                 reason=reason,
                 document_id=document_id,
                 sentence_index=sentence_index,
-                detail=tuple(sorted(detail.items())),
+                detail=tuple(sorted(detail.items())) if detail else (),
             )
         )
 
@@ -149,7 +149,7 @@ class AuditTrail:
                 predicate=predicate,
                 lexicon_entries=lexicon_entries,
                 negated=negated,
-                detail=tuple(sorted(detail.items())),
+                detail=tuple(sorted(detail.items())) if detail else (),
             )
         )
 

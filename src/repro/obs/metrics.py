@@ -40,6 +40,8 @@ def validate_metric_name(name: str) -> str:
 
 
 def _label_key(labels: dict[str, object]) -> LabelKey:
+    if not labels:
+        return ()
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 

@@ -47,6 +47,10 @@ class TestVerbLemmas:
     def test_uppercase_input(self):
         assert lemmatize("Impressed", "VBN") == "impress"
 
+    def test_extra_verb_bases_reach_stem_repair(self):
+        assert Lemmatizer({"zorbe"}).lemmatize("zorbing", "VBG") == "zorbe"
+        assert Lemmatizer().lemmatize("zorbing", "VBG") == "zorb"
+
 
 class TestNounLemmas:
     def test_regular_plural(self):

@@ -5,7 +5,8 @@ import string
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.nlp.tokenizer import Tokenizer, tokenize
+from repro.nlp.tokenizer import _CLITICS, Tokenizer, tokenize
+from repro.nlp.tokens import Token
 
 
 def words(text):
@@ -128,3 +129,28 @@ class TestProperties:
         text = " ".join(parts)
         rebuilt = "".join(t.text for t in tokenize(text))
         assert rebuilt == text.replace(" ", "")
+
+
+def _split_clitics_full(raw, start):
+    """The clitic loop with no apostrophe fast path, as a reference."""
+    lower = raw.lower()
+    for clitic in _CLITICS:
+        if lower.endswith(clitic) and len(raw) > len(clitic):
+            head = raw[: -len(clitic)]
+            if clitic == "'" and not head[-1].isalpha():
+                continue
+            if "'" in head:
+                continue
+            split_at = start + len(head)
+            return [Token(head, start, split_at), Token(raw[len(head) :], split_at, start + len(raw))]
+    return [Token(raw, start, start + len(raw))]
+
+
+class TestClitics:
+    def test_every_clitic_has_an_apostrophe(self):
+        # The fast path in _split_clitics relies on this.
+        assert all("'" in clitic for clitic in _CLITICS)
+
+    @given(st.text(alphabet="aAdlmnNrsStTv'e9", min_size=1, max_size=12), st.integers(0, 50))
+    def test_fast_path_matches_full_loop(self, raw, start):
+        assert Tokenizer._split_clitics(raw, start) == _split_clitics_full(raw, start)

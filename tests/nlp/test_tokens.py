@@ -1,5 +1,7 @@
 """Unit tests for the span/token data model."""
 
+import dataclasses
+
 import pytest
 
 from repro.nlp.tokens import Chunk, Sentence, Span, TaggedSentence, TaggedToken, Token, cover_span, tokens_text
@@ -116,6 +118,60 @@ class TestChunk:
     def test_span(self):
         c = Chunk("NP", (ttok("battery", "NN", 4), ttok("life", "NN", 12)))
         assert c.span == Span(4, 16)
+
+
+class TestLeanModel:
+    """Derived fields are stored once and stay out of identity."""
+
+    def test_derived_fields_match_sources(self):
+        t = tok("DoesN'T", 5)
+        assert t.lower == t.text.lower() == "doesn't"
+        tt = TaggedToken(t, "VBZ")
+        assert (tt.text, tt.lower, tt.start, tt.end) == (t.text, t.lower, t.start, t.end)
+        assert tt.span == t.span == Span(5, 12)
+
+    def test_chunk_span_covers_tokens(self):
+        tokens = (ttok("the", "DT", 2), ttok("battery", "NN", 6), ttok("life", "NN", 14))
+        c = Chunk("NP", tokens)
+        assert c.span == Span(2, 18)
+        assert all(c.span.contains(t.span) for t in tokens)
+
+    def test_equality_hash_and_repr_ignore_derived_fields(self):
+        a, b = tok("Flash", 3), tok("Flash", 3)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "Token(text='Flash', start=3, end=8)"
+        assert [f.name for f in dataclasses.fields(Token) if f.compare] == ["text", "start", "end"]
+
+        ta, tb = TaggedToken(a, "NN"), TaggedToken(b, "NN")
+        assert ta == tb and hash(ta) == hash(tb)
+        assert ta != TaggedToken(a, "NNP")
+        assert repr(ta) == f"TaggedToken(token={a!r}, tag='NN')"
+        assert [f.name for f in dataclasses.fields(TaggedToken) if f.compare] == ["token", "tag"]
+
+        ca, cb = Chunk("NP", (ta,)), Chunk("NP", (tb,))
+        assert ca == cb and hash(ca) == hash(cb)
+        assert repr(ca) == f"Chunk(label='NP', tokens=({ta!r},))"
+        assert [f.name for f in dataclasses.fields(Chunk) if f.compare] == ["label", "tokens"]
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            Span(0, 4),
+            tok("zoom"),
+            ttok("zoom", "NN"),
+            Chunk("NP", (ttok("zoom", "NN"),)),
+        ],
+        ids=["Span", "Token", "TaggedToken", "Chunk"],
+    )
+    def test_frozen_and_slotted(self, obj):
+        for f in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+        assert not hasattr(obj, "__dict__")
+
+    def test_replace_recomputes_derived_fields(self):
+        t = dataclasses.replace(tok("Flash", 3), text="ZOOMS", start=0, end=5)
+        assert t.lower == "zooms"
 
 
 class TestHelpers:
