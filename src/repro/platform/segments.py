@@ -39,7 +39,6 @@ from ..core.model import Polarity
 from ..obs import Obs
 from ..obs.audit import AuditEntry
 from ..obs.context import ROOT
-from .entity import Entity
 from .indexer import InvertedIndex, SentimentEntry, SentimentIndex
 from .ingestion import DELTA_DELETE, DocumentDelta
 
@@ -79,14 +78,12 @@ class IndexSegment:
         segment_id: int,
         sentiment: SentimentIndex,
         inverted: InvertedIndex,
-        entities: tuple[Entity, ...],
         tombstones: frozenset[str],
         stats: SegmentStats,
     ):
         self.segment_id = segment_id
         self.sentiment = sentiment
         self.inverted = inverted
-        self.entities = entities
         self.tombstones = tombstones
         self.stats = stats
 
@@ -122,7 +119,7 @@ class DeltaIndexer:
         obs = self._obs
         sentiment = SentimentIndex()
         inverted = InvertedIndex()
-        live: dict[str, Entity] = {}
+        live: set[str] = set()
         tombstones: set[str] = set()
         deletes = 0
         judgments = 0
@@ -134,7 +131,7 @@ class DeltaIndexer:
                 if delta.kind == DELTA_DELETE:
                     deletes += 1
                     if delta.entity_id in live:
-                        del live[delta.entity_id]
+                        live.remove(delta.entity_id)
                         inverted.remove_entity(delta.entity_id)
                         judgments -= sentiment.remove_document(delta.entity_id)
                     continue
@@ -148,7 +145,7 @@ class DeltaIndexer:
                 sentiment.add_all(polar)
                 judgments += len(polar)
                 inverted.add_entity(entity)
-                live[delta.entity_id] = entity
+                live.add(delta.entity_id)
                 obs.clock.advance(SEAL_COST_PER_DOC)
             span.set_attribute("documents", len(live))
             span.set_attribute("tombstones", len(tombstones))
@@ -156,7 +153,6 @@ class DeltaIndexer:
             segment_id=self._next_segment_id,
             sentiment=sentiment,
             inverted=inverted,
-            entities=tuple(live.values()),
             tombstones=frozenset(tombstones),
             stats=SegmentStats(
                 documents=len(live), deletes=deletes, judgments=judgments
@@ -215,24 +211,26 @@ class SentimentSnapshot:
     def query(self, subject: str, polarity: Polarity | None = None) -> list[SentimentEntry]:
         out: list[SentimentEntry] = []
         for segment, mask in zip(self._segments, self._masks):
-            for entry in segment.sentiment.query(subject, polarity):
-                if entry.entity_id not in mask:
-                    out.append(entry)
+            entries = segment.sentiment.query(subject, polarity)
+            if mask:
+                out.extend(e for e in entries if e.entity_id not in mask)
+            else:
+                out.extend(entries)
         return out
 
     def counts(self, subject: str) -> dict[Polarity, int]:
-        out = {Polarity.POSITIVE: 0, Polarity.NEGATIVE: 0}
-        for entry in self.query(subject):
-            out[entry.polarity] += 1
-        return out
+        positive = negative = 0
+        for segment, mask in zip(self._segments, self._masks):
+            seg_positive, seg_negative = segment.sentiment.tally(subject, mask)
+            positive += seg_positive
+            negative += seg_negative
+        return {Polarity.POSITIVE: positive, Polarity.NEGATIVE: negative}
 
     def subject_counts(self) -> dict[str, int]:
         totals: dict[str, int] = {}
         for segment, mask in zip(self._segments, self._masks):
-            for subject, entries in segment.sentiment.items():
-                live = sum(1 for e in entries if e.entity_id not in mask)
-                if live:
-                    totals[subject] = totals.get(subject, 0) + live
+            for subject, live in segment.sentiment.subject_sizes(mask):
+                totals[subject] = totals.get(subject, 0) + live
         return dict(sorted(totals.items()))
 
     def subjects(self) -> list[str]:
@@ -260,7 +258,8 @@ class InvertedSnapshot:
     def search(self, query: "Query | str") -> set[str]:
         out: set[str] = set()
         for segment, mask in zip(self._segments, self._masks):
-            out.update(segment.inverted.search(query) - mask)
+            found = segment.inverted.search(query)
+            out.update(found - mask if mask else found)
         return out
 
     @property

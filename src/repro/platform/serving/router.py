@@ -31,6 +31,7 @@ for a given seed.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
@@ -323,8 +324,11 @@ class ServingRouter:
         self._hedge_threshold = hedge_threshold
         self._hedge_percentile = hedge_percentile
         self._hedge_warmup = hedge_warmup
-        # Recent winner latencies for the adaptive hedge percentile.
+        # Recent winner latencies for the adaptive hedge percentile,
+        # plus the same samples kept sorted so the percentile is one
+        # index lookup rather than a sort per shard read.
         self._latency_window: deque[float] = deque(maxlen=128)
+        self._latency_sorted: list[float] = []
         self._breakers: dict[str, CircuitBreaker] = {}
         self._breaker_threshold = breaker_threshold
         self._breaker_cooldown = breaker_cooldown
@@ -702,7 +706,7 @@ class ServingRouter:
                     self._obs.metrics.counter("serving.cancelled_reads").inc()
                     continue
                 self._obs.clock.advance(latency)
-                self._latency_window.append(latency)
+                self._record_latency(latency)
                 self._latency_hist.observe(latency, trace_id=span.trace_id)
                 service = node_service(replica.node_id)
                 breaker = self._breakers[service]
@@ -756,14 +760,21 @@ class ServingRouter:
                 pass
         return None
 
+    def _record_latency(self, latency: float) -> None:
+        """Slide the hedge window, keeping its sorted copy in step."""
+        window, ordered = self._latency_window, self._latency_sorted
+        if len(window) == window.maxlen:
+            del ordered[bisect_left(ordered, window[0])]
+        window.append(latency)
+        insort(ordered, latency)
+
     def _current_hedge_threshold(self) -> float:
         if self._hedge_threshold is not None:
             return self._hedge_threshold
-        if len(self._latency_window) < self._hedge_warmup:
+        ordered = self._latency_sorted
+        if len(ordered) < self._hedge_warmup:
             return float("inf")  # no hedging until the percentile is meaningful
-        ordered = sorted(self._latency_window)
-        index = int(self._hedge_percentile * (len(ordered) - 1))
-        return ordered[index]
+        return ordered[int(self._hedge_percentile * (len(ordered) - 1))]
 
     # -- merging & envelopes ----------------------------------------------------
 

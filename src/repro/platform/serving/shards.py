@@ -238,28 +238,30 @@ class ReplicatedIndex:
 
         Each shard gets one immutable :class:`ShardSegment` shared by
         all its replicas: sentiment entries routed by subject hash,
-        inverted documents by entity-id hash.  Every shard's slice
-        carries the segment's *full* tombstone set — a deleted
-        document's sentiment entries may live in any subject shard, and
-        surplus tombstones mask nothing that exists.
+        inverted documents by entity-id hash (the segment's postings
+        are partitioned, so no document is tokenized again).  Every
+        shard's slice carries the segment's *full* tombstone set — a
+        deleted document's sentiment entries may live in any subject
+        shard, and surplus tombstones mask nothing that exists.
 
         Replicas hosted on a down node (per :meth:`set_liveness`) do
         *not* receive the slice: a crashed machine cannot accept
         writes, and the gap is what anti-entropy repairs on rejoin.
         """
         version = self._version + 1
+        inverted = segment.inverted.partition(
+            lambda entity_id: shard_of(entity_id, self.num_shards), self.num_shards
+        )
         slices = [
-            ShardSegment(version=version, tombstones=segment.tombstones)
-            for _ in range(self.num_shards)
+            ShardSegment(
+                version=version, inverted=part, tombstones=segment.tombstones
+            )
+            for part in inverted
         ]
         for subject, entries in segment.sentiment.items():
             target = slices[shard_of(subject, self.num_shards)].sentiment
             for entry in entries:
                 target.add_entry(entry)
-        for entity in segment.entities:
-            slices[shard_of(entity.entity_id, self.num_shards)].inverted.add_entity(
-                entity
-            )
         for shard_id in range(self.num_shards):
             for replica in self._replicas[shard_id]:
                 if self.node_up(replica.node_id):

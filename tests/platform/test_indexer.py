@@ -176,6 +176,26 @@ class TestSentimentIndex:
         )
         assert n == 1
 
+    def test_add_all_equals_one_judgment_at_a_time(self):
+        # add_all counts polar judgments directly; on an index that
+        # already holds entries it must still report only what it added
+        # and leave the same contents as add_judgment in a loop.
+        polarities = [Polarity.POSITIVE, Polarity.NEUTRAL, Polarity.NEGATIVE]
+        batch = [
+            judgment(subject, polarities[i % 3], doc_id=f"d{i}", start=i, end=i + 1)
+            for i, subject in enumerate(["zoom", "flash", "Zoom", "NR70"] * 5)
+        ]
+        one_by_one, bulk = SentimentIndex(), SentimentIndex()
+        for idx in (one_by_one, bulk):
+            idx.add_judgment(judgment("flash", Polarity.POSITIVE, doc_id="d0"))
+        for j in batch:
+            one_by_one.add_judgment(j)
+        assert bulk.add_all(iter(batch)) == sum(1 for j in batch if j.polarity.is_polar)
+        assert list(bulk) == list(one_by_one)
+        assert bulk.subject_counts() == one_by_one.subject_counts()
+        assert len(bulk) == len(one_by_one) == 14
+        assert bulk.add_all([]) == 0
+
     def test_iteration(self):
         idx = SentimentIndex()
         idx.add_judgment(judgment("b", Polarity.POSITIVE))

@@ -7,6 +7,11 @@ same corpora (on both the batched optimized path and the unbatched
 path) and diffs the reports byte-for-byte, so any hot-path change that
 shifts semantics fails loudly rather than silently skewing results.
 
+A third fixture pins the serving read path the same way: every
+envelope (data and meta — status, hedging, simulated latency, missing
+shards) of a seeded request stream against a small static index with
+one killed node and scheduled service faults.
+
 Regenerate fixtures (only after an *intentional* semantics change)::
 
     PYTHONPATH=src python -m tests.support.golden
@@ -23,6 +28,7 @@ from repro.core.miner import MiningResult, SentimentMiner
 from repro.core.model import SentimentJudgment
 from repro.corpora import DIGITAL_CAMERA, MUSIC, ReviewGenerator
 from repro.obs import Obs
+from repro.platform.serving import LoadProfile, build_scenario
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures", "golden")
 
@@ -123,9 +129,50 @@ def mine_music_open() -> MiningResult:
     return miner.mine_open_corpus(music_documents())
 
 
+#: Serving golden: corpus, chaos and stream sizes.  Enough requests
+#: that the 128-sample hedge window wraps several times.
+SERVING_SEED = 2005
+SERVING_DOCS = 12
+SERVING_CHAOS_SEED = 7
+SERVING_REQUESTS = 160
+
+
+def serving_report() -> dict:
+    """Every (request, envelope) pair of one seeded chaos serving run."""
+    scenario = build_scenario(
+        seed=SERVING_SEED,
+        docs=SERVING_DOCS,
+        chaos_seed=SERVING_CHAOS_SEED,
+        profile=LoadProfile(requests=SERVING_REQUESTS),
+    )
+    scenario.run()
+    return {
+        "dead_nodes": sorted(scenario.plan.dead_nodes),
+        "outcomes": [
+            {
+                "request": {
+                    "request_id": request.request_id,
+                    "op": request.op,
+                    "payload": request.payload,
+                    "priority": request.priority,
+                    "budget": request.budget,
+                },
+                "envelope": envelope,
+            }
+            for request, envelope in scenario.generator.last_outcomes
+        ],
+    }
+
+
+def dumps(report: dict) -> str:
+    """The canonical on-disk form of a golden report."""
+    return json.dumps(report, indent=1, sort_keys=True) + "\n"
+
+
 GOLDEN_RUNS = {
-    "camera_modeA.json": lambda: mine_camera(batched=False),
-    "music_modeB.json": lambda: mine_music_open(),
+    "camera_modeA.json": lambda: mining_report(mine_camera(batched=False)),
+    "music_modeB.json": lambda: mining_report(mine_music_open()),
+    "serving_reads.json": serving_report,
 }
 
 
@@ -142,10 +189,8 @@ def regenerate() -> list[str]:
     os.makedirs(FIXTURE_DIR, exist_ok=True)
     written = []
     for name, run in GOLDEN_RUNS.items():
-        report = mining_report(run())
         with open(fixture_path(name), "w", encoding="utf-8") as stream:
-            json.dump(report, stream, indent=1, sort_keys=True)
-            stream.write("\n")
+            stream.write(dumps(run()))
         written.append(fixture_path(name))
     return written
 
